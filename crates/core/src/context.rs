@@ -5,8 +5,8 @@
 //! `mnc_expr::EstimationContext`. They live in the core crate so the cache
 //! and counters can be reused by any synopsis type (the cache is generic —
 //! the expression layer instantiates it over `Synopsis` values sized by
-//! `Synopsis::size_bytes()`), while the parallel builder reuses the
-//! phase-1/phase-2 split proven equivalent in [`crate::distributed`].
+//! `Synopsis::size_bytes()`), while the parallel builder runs the
+//! two-phase build of [`crate::distributed`] over row chunks.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -17,6 +17,7 @@ use mnc_kernels::{row_chunks, WorkerPool};
 use mnc_matrix::CsrMatrix;
 use mnc_obs::LatencyHisto;
 
+use crate::distributed::{build_two_phase, RowSlice};
 use crate::sketch::MncSketch;
 
 // ---------------------------------------------------------------------------
@@ -343,59 +344,6 @@ impl<K: Eq + Hash + Clone, V> LruSynopsisCache<K, V> {
 // Parallel sketch construction
 // ---------------------------------------------------------------------------
 
-/// Phase-1 result for one row chunk: its `h^r` slice, a full-width `h^c`
-/// contribution, and the chunk's diagonal-consistency flag.
-struct Chunk1 {
-    hr: Vec<u32>,
-    hc: Vec<u32>,
-    diagonal_fragment: bool,
-}
-
-fn chunk_phase1(m: &CsrMatrix, lo: usize, hi: usize, ncols: usize) -> Chunk1 {
-    let mut hr = vec![0u32; hi - lo];
-    let mut hc = vec![0u32; ncols];
-    let mut diagonal_fragment = true;
-    for (k, rc) in hr.iter_mut().enumerate() {
-        let i = lo + k;
-        let (cols, _) = m.row(i);
-        *rc = cols.len() as u32;
-        diagonal_fragment &= cols.len() == 1 && cols[0] as usize == i;
-        for &c in cols {
-            hc[c as usize] += 1;
-        }
-    }
-    Chunk1 {
-        hr,
-        hc,
-        diagonal_fragment,
-    }
-}
-
-/// Phase-2 result for one row chunk: its `h^er` slice and a full-width
-/// `h^ec` contribution (needs the merged global `h^c`).
-struct Chunk2 {
-    her: Vec<u32>,
-    hec: Vec<u32>,
-}
-
-fn chunk_phase2(m: &CsrMatrix, lo: usize, hi: usize, global_hc: &[u32]) -> Chunk2 {
-    let mut her = vec![0u32; hi - lo];
-    let mut hec = vec![0u32; global_hc.len()];
-    for (k, er) in her.iter_mut().enumerate() {
-        let (cols, _) = m.row(lo + k);
-        let single_row = cols.len() == 1;
-        for &c in cols {
-            if global_hc[c as usize] == 1 {
-                *er += 1;
-            }
-            if single_row {
-                hec[c as usize] += 1;
-            }
-        }
-    }
-    Chunk2 { her, hec }
-}
-
 impl MncSketch {
     /// [`MncSketch::build`] over `threads` scoped worker threads scanning
     /// disjoint row chunks. Count merging is additive over integers, so the
@@ -407,58 +355,24 @@ impl MncSketch {
 
     /// Parallel build with the extended vectors optional (MNC Basic).
     ///
-    /// Mirrors the phase-1 / phase-2 split of
-    /// [`build_distributed`](crate::distributed::build_distributed), but over
+    /// The two-phase build of
+    /// [`build_distributed`](crate::distributed::build_distributed), over
     /// row chunks of one matrix instead of pre-partitioned fragments.
     pub fn build_parallel_with(m: &CsrMatrix, use_extended: bool, threads: usize) -> Self {
-        let (nrows, ncols) = m.shape();
+        let nrows = m.nrows();
         let threads = threads.clamp(1, nrows.max(1));
         if threads == 1 {
             return Self::build_with(m, use_extended);
         }
-        let chunks = row_chunks(nrows, threads);
-        let pool = WorkerPool::new(threads);
-
-        // Phase 1: per-chunk counts on pool workers, merged in chunk order.
-        let phase1: Vec<Chunk1> = pool.run(chunks.len(), |k| {
-            let (lo, hi) = chunks[k];
-            chunk_phase1(m, lo, hi, ncols)
-        });
-        let mut hr = Vec::with_capacity(nrows);
-        let mut hc = vec![0u32; ncols];
-        let mut diagonal = nrows == ncols && nrows > 0;
-        for c in &phase1 {
-            hr.extend_from_slice(&c.hr);
-            for (acc, &v) in hc.iter_mut().zip(&c.hc) {
-                *acc += v;
-            }
-            diagonal &= c.diagonal_fragment;
-        }
-
-        let max_hr = hr.iter().copied().max().unwrap_or(0);
-        let max_hc = hc.iter().copied().max().unwrap_or(0);
-
-        // Phase 2: extended vectors against the merged global h^c.
-        let (her, hec) = if use_extended && max_hr > 1 && max_hc > 1 {
-            let hc_ref = &hc;
-            let phase2: Vec<Chunk2> = pool.run(chunks.len(), |k| {
-                let (lo, hi) = chunks[k];
-                chunk_phase2(m, lo, hi, hc_ref)
-            });
-            let mut her = Vec::with_capacity(nrows);
-            let mut hec = vec![0u32; ncols];
-            for c in &phase2 {
-                her.extend_from_slice(&c.her);
-                for (acc, &v) in hec.iter_mut().zip(&c.hec) {
-                    *acc += v;
-                }
-            }
-            (Some(her), Some(hec))
-        } else {
-            (None, None)
-        };
-
-        MncSketch::from_vectors(nrows, ncols, hr, hc, her, hec, diagonal)
+        let chunks: Vec<RowSlice<'_>> = row_chunks(nrows, threads)
+            .into_iter()
+            .map(|(lo, hi)| RowSlice {
+                m,
+                rows: lo..hi,
+                row_base: 0,
+            })
+            .collect();
+        build_two_phase(&chunks, m.shape(), use_extended, &WorkerPool::new(threads))
     }
 }
 

@@ -17,32 +17,46 @@
 //!    is needed for them); the driver merges again.
 //!
 //! Partitions are processed on scoped OS threads, standing in for cluster
-//! executors.
+//! executors. The same two phases, over row chunks of one in-memory matrix,
+//! are [`MncSketch::build_parallel`](crate::MncSketch::build_parallel).
 
+use std::ops::Range;
+
+use mnc_kernels::WorkerPool;
 use mnc_matrix::partition::RowPartitionedMatrix;
 use mnc_matrix::CsrMatrix;
 
 use crate::sketch::MncSketch;
 
-/// Per-partition result of phase 1.
+/// One row range of the matrix being sketched: rows `rows` of `m`, which
+/// are global rows `row_base + i`. A partition is `0..part.nrows()` with
+/// `row_base = offset`; a chunk of a whole matrix is `lo..hi` with
+/// `row_base = 0`.
+pub(crate) struct RowSlice<'a> {
+    pub(crate) m: &'a CsrMatrix,
+    pub(crate) rows: Range<usize>,
+    pub(crate) row_base: usize,
+}
+
+/// Per-slice result of phase 1.
 struct Phase1 {
-    /// Local slice of `h^r` (indexed by partition-local row).
+    /// The slice of `h^r`.
     hr: Vec<u32>,
-    /// Local contribution to `h^c` (full width, sparse in practice).
+    /// Contribution to `h^c` (full width, sparse in practice).
     hc: Vec<u32>,
-    /// Whether this partition is consistent with a global diagonal matrix
-    /// (each local row `i` has exactly one non-zero at column `offset + i`).
+    /// Whether this slice is consistent with a global diagonal matrix
+    /// (each global row `g` has exactly one non-zero, at column `g`).
     diagonal_fragment: bool,
 }
 
-fn phase1(part: &CsrMatrix, offset: usize, ncols_global: usize) -> Phase1 {
-    let mut hr = vec![0u32; part.nrows()];
-    let mut hc = vec![0u32; ncols_global];
+fn phase1(s: &RowSlice<'_>, ncols: usize) -> Phase1 {
+    let mut hr = vec![0u32; s.rows.len()];
+    let mut hc = vec![0u32; ncols];
     let mut diagonal_fragment = true;
-    for (i, rc) in hr.iter_mut().enumerate() {
-        let (cols, _) = part.row(i);
+    for (rc, i) in hr.iter_mut().zip(s.rows.clone()) {
+        let (cols, _) = s.m.row(i);
         *rc = cols.len() as u32;
-        diagonal_fragment &= cols.len() == 1 && cols[0] as usize == offset + i;
+        diagonal_fragment &= cols.len() == 1 && cols[0] as usize == s.row_base + i;
         for &c in cols {
             hc[c as usize] += 1;
         }
@@ -54,19 +68,19 @@ fn phase1(part: &CsrMatrix, offset: usize, ncols_global: usize) -> Phase1 {
     }
 }
 
-/// Per-partition result of phase 2 (extended count vectors).
+/// Per-slice result of phase 2 (extended count vectors).
 struct Phase2 {
-    /// Local slice of `h^er`.
+    /// The slice of `h^er`.
     her: Vec<u32>,
-    /// Local contribution to `h^ec`.
+    /// Contribution to `h^ec`.
     hec: Vec<u32>,
 }
 
-fn phase2(part: &CsrMatrix, global_hc: &[u32]) -> Phase2 {
-    let mut her = vec![0u32; part.nrows()];
+fn phase2(s: &RowSlice<'_>, global_hc: &[u32]) -> Phase2 {
+    let mut her = vec![0u32; s.rows.len()];
     let mut hec = vec![0u32; global_hc.len()];
-    for (i, er) in her.iter_mut().enumerate() {
-        let (cols, _) = part.row(i);
+    for (er, i) in her.iter_mut().zip(s.rows.clone()) {
+        let (cols, _) = s.m.row(i);
         let single_row = cols.len() == 1;
         for &c in cols {
             if global_hc[c as usize] == 1 {
@@ -80,36 +94,30 @@ fn phase2(part: &CsrMatrix, global_hc: &[u32]) -> Phase2 {
     Phase2 { her, hec }
 }
 
-/// Builds the MNC sketch of a row-partitioned matrix with one worker thread
-/// per partition. The result is **identical** to
-/// [`MncSketch::build`](crate::MncSketch::build) on the assembled matrix.
-pub fn build_distributed(m: &RowPartitionedMatrix) -> MncSketch {
-    build_distributed_with(m, true)
+fn add_into(acc: &mut [u32], part: &[u32]) {
+    for (a, &v) in acc.iter_mut().zip(part) {
+        *a += v;
+    }
 }
 
-/// Distributed build with the extended vectors optional (MNC Basic).
-pub fn build_distributed_with(m: &RowPartitionedMatrix, use_extended: bool) -> MncSketch {
-    let (nrows, ncols) = (m.nrows(), m.ncols());
-
-    // Phase 1: local counts on worker threads, merged in the driver.
-    let phase1_results: Vec<Phase1> = std::thread::scope(|scope| {
-        let handles: Vec<_> = m
-            .iter()
-            .map(|(offset, part)| scope.spawn(move || phase1(part, offset, ncols)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("phase 1 worker panicked"))
-            .collect()
-    });
+/// The two-phase build over `slices`, which must cover global rows
+/// `0..nrows` in order. Each phase runs one pool task per slice; the calling
+/// thread merges the partial counts in slice order. Count merging is additive over
+/// integers, so the result is **identical** to the sequential
+/// [`MncSketch::build_with`].
+pub(crate) fn build_two_phase(
+    slices: &[RowSlice<'_>],
+    (nrows, ncols): (usize, usize),
+    use_extended: bool,
+    pool: &WorkerPool,
+) -> MncSketch {
+    // Phase 1: local counts, merged here.
     let mut hr = Vec::with_capacity(nrows);
     let mut hc = vec![0u32; ncols];
     let mut diagonal = nrows == ncols && nrows > 0;
-    for p in &phase1_results {
+    for p in pool.run(slices.len(), |k| phase1(&slices[k], ncols)) {
         hr.extend_from_slice(&p.hr);
-        for (acc, &c) in hc.iter_mut().zip(&p.hc) {
-            *acc += c;
-        }
+        add_into(&mut hc, &p.hc);
         diagonal &= p.diagonal_fragment;
     }
 
@@ -119,23 +127,11 @@ pub fn build_distributed_with(m: &RowPartitionedMatrix, use_extended: bool) -> M
     // Phase 2: extended vectors, with the global h^c broadcast.
     let (her, hec) = if use_extended && max_hr > 1 && max_hc > 1 {
         let hc_ref = &hc;
-        let phase2_results: Vec<Phase2> = std::thread::scope(|scope| {
-            let handles: Vec<_> = m
-                .iter()
-                .map(|(_, part)| scope.spawn(move || phase2(part, hc_ref)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("phase 2 worker panicked"))
-                .collect()
-        });
         let mut her = Vec::with_capacity(nrows);
         let mut hec = vec![0u32; ncols];
-        for p in &phase2_results {
+        for p in pool.run(slices.len(), |k| phase2(&slices[k], hc_ref)) {
             her.extend_from_slice(&p.her);
-            for (acc, &c) in hec.iter_mut().zip(&p.hec) {
-                *acc += c;
-            }
+            add_into(&mut hec, &p.hec);
         }
         (Some(her), Some(hec))
     } else {
@@ -143,6 +139,27 @@ pub fn build_distributed_with(m: &RowPartitionedMatrix, use_extended: bool) -> M
     };
 
     MncSketch::from_vectors(nrows, ncols, hr, hc, her, hec, diagonal)
+}
+
+/// Builds the MNC sketch of a row-partitioned matrix with one worker thread
+/// per partition. The result is **identical** to
+/// [`MncSketch::build`](crate::MncSketch::build) on the assembled matrix.
+pub fn build_distributed(m: &RowPartitionedMatrix) -> MncSketch {
+    build_distributed_with(m, true)
+}
+
+/// Distributed build with the extended vectors optional (MNC Basic).
+pub fn build_distributed_with(m: &RowPartitionedMatrix, use_extended: bool) -> MncSketch {
+    let slices: Vec<RowSlice<'_>> = m
+        .iter()
+        .map(|(offset, part)| RowSlice {
+            m: part,
+            rows: 0..part.nrows(),
+            row_base: offset,
+        })
+        .collect();
+    let pool = WorkerPool::new(slices.len());
+    build_two_phase(&slices, (m.nrows(), m.ncols()), use_extended, &pool)
 }
 
 #[cfg(test)]

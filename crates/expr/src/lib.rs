@@ -38,7 +38,7 @@ pub use estimate::{estimate_all, estimate_root, NodeEstimate};
 pub use eval::Evaluator;
 pub use planner::{Format, NodePlan, PlanSummary, Planner};
 pub use rewrite::{rewrite_mm_chains, rewrite_mm_chains_with_context, RewriteResult};
-pub use session::{EstimationContext, SynopsisKey};
+pub use session::{DagView, EstimationContext, RootEstimate, SynopsisKey, ViewNode};
 pub use sessions::{SessionPool, SessionPoolConfig, SessionPoolStats};
 
 // Re-exported so downstream crates write `mnc_expr::SparsityEstimator`

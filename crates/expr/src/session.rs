@@ -20,13 +20,18 @@
 //! (probabilistic rounding in MNC) produce identical results either way —
 //! asserted by the property tests.
 //!
+//! The walk is written once, over a [`DagView`]: an [`ExprDag`] (leaves are
+//! matrices, built and cached) or any DAG whose leaves are synopses the
+//! caller already holds — `mnc-served` estimates its request DAGs over
+//! catalog sketches through [`EstimationContext::estimate_view`].
+//!
 //! [`cache_key`]: SparsityEstimator::cache_key
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mnc_core::{EstimationStats, LruSynopsisCache, OpTimer, ScratchArena};
-use mnc_estimators::{Result, SparsityEstimator, Synopsis};
+use mnc_estimators::{OpKind, Result, SparsityEstimator, Synopsis};
 use mnc_kernels::WorkerPool;
 use mnc_matrix::CsrMatrix;
 use mnc_obs::{Counter, Gauge, Histogram, Recorder};
@@ -96,6 +101,63 @@ impl SynopsisKey {
     }
 }
 
+/// A DAG the estimation walk can traverse. Node ids must be topologically
+/// ordered: every operation's inputs have smaller ids than the operation.
+pub trait DagView: Sync {
+    /// Number of nodes; ids are `0..node_count()`.
+    fn node_count(&self) -> usize;
+
+    /// Node `id` as the walk sees it.
+    fn view_node(&self, id: NodeId) -> ViewNode<'_>;
+}
+
+/// One node of a [`DagView`].
+pub enum ViewNode<'a> {
+    /// A base matrix: its synopsis is built by the context and cached under
+    /// [`SynopsisKey::leaf`].
+    Matrix(&'a Arc<CsrMatrix>),
+    /// A synopsis the caller already holds (e.g. one loaded from a
+    /// catalog): used as is, never cached by the walk.
+    Synopsis(&'a Arc<Synopsis>),
+    /// An operation over earlier nodes.
+    Op {
+        /// The operation.
+        op: &'a OpKind,
+        /// Input node ids, in operand order.
+        inputs: &'a [NodeId],
+        /// Cache key of the node's synopsis; `None` keeps it walk-local.
+        key: Option<SynopsisKey>,
+    },
+}
+
+impl DagView for ExprDag {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+
+    fn view_node(&self, id: NodeId) -> ViewNode<'_> {
+        match self.node(id) {
+            ExprNode::Leaf { matrix, .. } => ViewNode::Matrix(matrix),
+            ExprNode::Op { op, inputs } => ViewNode::Op {
+                op,
+                inputs,
+                key: Some(SynopsisKey::node(self, id)),
+            },
+        }
+    }
+}
+
+/// Result of [`EstimationContext::estimate_view`].
+#[derive(Debug, Clone)]
+pub struct RootEstimate {
+    /// Estimated sparsity of the root in `[0, 1]` (exact for a leaf root).
+    pub sparsity: f64,
+    /// Output shape of the root.
+    pub shape: (usize, usize),
+    /// The root's synopsis, when it was asked for.
+    pub synopsis: Option<Arc<Synopsis>>,
+}
+
 /// A cached, instrumented estimation session over one or more DAGs.
 ///
 /// ```
@@ -125,8 +187,8 @@ pub struct EstimationContext {
     /// Routes propagation through the arena (on by default); results are
     /// bit-identical either way — see `tests/obs_invariance.rs`.
     use_arena: bool,
-    /// Reused per-walk memo map (cleared, not reallocated, between walks).
-    memo_scratch: HashMap<NodeId, Arc<Synopsis>>,
+    /// Reused per-walk memo (cleared, not reallocated, between walks).
+    memo_scratch: Memo,
     /// Worker pool for DAG-wavefront materialization (1 thread = the plain
     /// sequential walk). Parallel walks are additionally gated on the
     /// estimator being order-invariant and `Sync`, so results stay
@@ -164,7 +226,7 @@ impl EstimationContext {
             stats: EstimationStats::new(),
             arena: ScratchArena::new(),
             use_arena: true,
-            memo_scratch: HashMap::new(),
+            memo_scratch: Vec::new(),
             pool: WorkerPool::default(),
             rec: Recorder::disabled(),
             m_hit: Counter::noop(),
@@ -303,13 +365,9 @@ impl EstimationContext {
         ekey: &Arc<str>,
     ) -> Result<Arc<Synopsis>> {
         let key = (Arc::clone(ekey), SynopsisKey::leaf(m));
-        if let Some(syn) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            self.m_hit.incr();
-            return Ok(Arc::clone(syn));
+        if let Some(syn) = self.lookup(&key) {
+            return Ok(syn);
         }
-        self.stats.cache_misses += 1;
-        self.m_miss.incr();
         let mut span = self.rec.span("build").op(est.name()).nnz_in(m.nnz() as u64);
         let t = OpTimer::start();
         let syn = Arc::new(est.build(m)?);
@@ -341,13 +399,9 @@ impl EstimationContext {
     ) -> Result<Arc<Synopsis>> {
         let ekey: Arc<str> = est.cache_key().into();
         let key = (ekey, SynopsisKey::named(name));
-        if let Some(syn) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            self.m_hit.incr();
-            return Ok(Arc::clone(syn));
+        if let Some(syn) = self.lookup(&key) {
+            return Ok(syn);
         }
-        self.stats.cache_misses += 1;
-        self.m_miss.incr();
         let mut span = self.rec.span("load").op(est.name());
         let t = OpTimer::start();
         let syn = Arc::new(load()?);
@@ -373,7 +427,7 @@ impl EstimationContext {
         id: NodeId,
     ) -> Result<Arc<Synopsis>> {
         let ekey: Arc<str> = est.cache_key().into();
-        let mut memo = self.take_memo();
+        let mut memo = self.take_memo(dag.node_count());
         let out = self
             .prefill(est, dag, &[id], &ekey, &mut memo)
             .and_then(|()| self.materialize(est, dag, id, &ekey, &mut memo));
@@ -391,17 +445,49 @@ impl EstimationContext {
         dag: &ExprDag,
         root: NodeId,
     ) -> Result<f64> {
-        match dag.node(root) {
-            ExprNode::Leaf { matrix, .. } => Ok(matrix.sparsity()),
-            ExprNode::Op { op, inputs } => {
-                let ekey: Arc<str> = est.cache_key().into();
-                let mut memo = self.take_memo();
-                let mut walk = || -> Result<f64> {
-                    self.prefill(est, dag, inputs, &ekey, &mut memo)?;
+        self.estimate_view(est, dag, root, false)
+            .map(|r| r.sparsity)
+    }
+
+    /// The estimation walk behind [`estimate_root`](Self::estimate_root),
+    /// over any [`DagView`] — an [`ExprDag`], or a DAG whose leaves are
+    /// synopses the caller already holds (`mnc-served`'s request DAGs over
+    /// catalog sketches).
+    ///
+    /// Intermediates are materialized depth-first, inputs in order, and
+    /// memoized for the walk; the root is estimated directly from its input
+    /// synopses. With `want_synopsis`, the root synopsis is also
+    /// materialized — strictly **after** the estimate, with the memo intact,
+    /// so the extra propagation cannot perturb an estimator's RNG stream
+    /// before the reported sparsity is computed.
+    pub fn estimate_view<E: SparsityEstimator + ?Sized, V: DagView + ?Sized>(
+        &mut self,
+        est: &E,
+        dag: &V,
+        root: NodeId,
+        want_synopsis: bool,
+    ) -> Result<RootEstimate> {
+        let ekey: Arc<str> = est.cache_key().into();
+        let mut memo = self.take_memo(dag.node_count());
+        let mut walk = || -> Result<RootEstimate> {
+            let (sparsity, shape) = match dag.view_node(root) {
+                // A leaf root answers its own exact sparsity.
+                ViewNode::Matrix(m) => (m.sparsity(), m.shape()),
+                ViewNode::Synopsis(s) => (s.sparsity(), s.shape()),
+                ViewNode::Op { op, inputs, .. } => {
+                    // Pure estimators may propagate the root before the
+                    // estimate, so a wanted root joins the wavefront.
+                    let targets = if want_synopsis {
+                        std::slice::from_ref(&root)
+                    } else {
+                        inputs
+                    };
+                    self.prefill(est, dag, targets, &ekey, &mut memo)?;
                     for &i in inputs {
                         self.materialize(est, dag, i, &ekey, &mut memo)?;
                     }
                     let ins = GatheredIns::gather(inputs, &memo);
+                    let shape = ins.output_shape(op)?;
                     let ins = ins.as_slice();
                     let mut span = self.rec.span("estimate").op(op.name());
                     if self.rec.is_enabled() {
@@ -415,13 +501,23 @@ impl EstimationContext {
                     drop(span);
                     self.stats.record_estimate(op.name(), ns);
                     self.h_estimate.record(ns);
-                    Ok(s)
-                };
-                let out = walk();
-                self.restore_memo(memo);
-                out
-            }
-        }
+                    (s, shape)
+                }
+            };
+            let synopsis = if want_synopsis {
+                Some(self.materialize(est, dag, root, &ekey, &mut memo)?)
+            } else {
+                None
+            };
+            Ok(RootEstimate {
+                sparsity,
+                shape,
+                synopsis,
+            })
+        };
+        let out = walk();
+        self.restore_memo(memo);
+        out
     }
 
     /// Estimates the sparsity of every operation node in the DAG, in
@@ -452,7 +548,7 @@ impl EstimationContext {
         dag: &ExprDag,
     ) -> Result<Vec<Arc<Synopsis>>> {
         let ekey: Arc<str> = est.cache_key().into();
-        let mut memo = self.take_memo();
+        let mut memo = self.take_memo(dag.node_count());
         let mut out = Vec::with_capacity(dag.len());
         let mut walk = || -> Result<()> {
             if self.pool.is_parallel() {
@@ -469,43 +565,42 @@ impl EstimationContext {
         res.map(|()| out)
     }
 
-    /// Takes the reusable per-walk memo out of the context (cleared).
-    fn take_memo(&mut self) -> HashMap<NodeId, Arc<Synopsis>> {
+    /// Takes the reusable per-walk memo out of the context, cleared and
+    /// sized for `nodes` nodes.
+    fn take_memo(&mut self, nodes: usize) -> Memo {
         let mut memo = std::mem::take(&mut self.memo_scratch);
         memo.clear();
+        memo.resize(nodes, None);
         memo
     }
 
     /// Returns the per-walk memo so the next walk reuses its table.
-    fn restore_memo(&mut self, memo: HashMap<NodeId, Arc<Synopsis>>) {
+    fn restore_memo(&mut self, memo: Memo) {
         self.memo_scratch = memo;
     }
 
     /// Depth-first materialization with a per-walk memo (the memo keeps the
     /// walk's synopses alive even if the LRU evicts them mid-walk, and keeps
     /// the build/propagate order identical to the uncached walk).
-    fn materialize<E: SparsityEstimator + ?Sized>(
+    fn materialize<E: SparsityEstimator + ?Sized, V: DagView + ?Sized>(
         &mut self,
         est: &E,
-        dag: &ExprDag,
+        dag: &V,
         id: NodeId,
         ekey: &Arc<str>,
-        memo: &mut HashMap<NodeId, Arc<Synopsis>>,
+        memo: &mut Memo,
     ) -> Result<Arc<Synopsis>> {
-        if let Some(syn) = memo.get(&id) {
+        if let Some(syn) = &memo[id] {
             return Ok(Arc::clone(syn));
         }
-        let syn = match dag.node(id) {
-            ExprNode::Leaf { matrix, .. } => self.leaf_synopsis_keyed(est, matrix, ekey)?,
-            ExprNode::Op { op, inputs } => {
-                let key = (Arc::clone(ekey), SynopsisKey::node(dag, id));
-                if let Some(syn) = self.cache.get(&key) {
-                    self.stats.cache_hits += 1;
-                    self.m_hit.incr();
-                    Arc::clone(syn)
+        let syn = match dag.view_node(id) {
+            ViewNode::Matrix(matrix) => self.leaf_synopsis_keyed(est, matrix, ekey)?,
+            ViewNode::Synopsis(syn) => Arc::clone(syn),
+            ViewNode::Op { op, inputs, key } => {
+                let key = key.map(|k| (Arc::clone(ekey), k));
+                if let Some(syn) = key.as_ref().and_then(|k| self.lookup(k)) {
+                    syn
                 } else {
-                    self.stats.cache_misses += 1;
-                    self.m_miss.incr();
                     for &i in inputs {
                         self.materialize(est, dag, i, ekey, memo)?;
                     }
@@ -529,12 +624,14 @@ impl EstimationContext {
                         span.set_bytes(syn.size_bytes());
                     }
                     drop(span);
-                    self.admit(key, &syn);
+                    if let Some(key) = key {
+                        self.admit(key, &syn);
+                    }
                     syn
                 }
             }
         };
-        memo.insert(id, Arc::clone(&syn));
+        memo[id] = Some(Arc::clone(&syn));
         Ok(syn)
     }
 
@@ -546,13 +643,13 @@ impl EstimationContext {
     /// to run the exact sequential schedule — which is what keeps
     /// RNG-bearing estimators (probabilistic MNC) and instrumented
     /// wrappers bit-identical under any `threads` setting.
-    fn prefill<E: SparsityEstimator + ?Sized>(
+    fn prefill<E: SparsityEstimator + ?Sized, V: DagView + ?Sized>(
         &mut self,
         est: &E,
-        dag: &ExprDag,
+        dag: &V,
         roots: &[NodeId],
         ekey: &Arc<str>,
-        memo: &mut HashMap<NodeId, Arc<Synopsis>>,
+        memo: &mut Memo,
     ) -> Result<()> {
         if !self.pool.is_parallel() || !est.order_invariant() {
             return Ok(());
@@ -577,36 +674,32 @@ impl EstimationContext {
     ///    probes (an op is probed before its inputs, inputs left to
     ///    right), so hit/miss counts match a `threads == 1` walk over the
     ///    same cache state exactly.
-    fn prefill_wavefront(
+    fn prefill_wavefront<V: DagView + ?Sized>(
         &mut self,
         est: &(dyn SparsityEstimator + Sync),
-        dag: &ExprDag,
+        dag: &V,
         roots: &[NodeId],
         ekey: &Arc<str>,
-        memo: &mut HashMap<NodeId, Arc<Synopsis>>,
+        memo: &mut Memo,
     ) -> Result<()> {
         let mut scheduled: Vec<NodeId> = Vec::new();
         let mut seen: HashSet<NodeId> = HashSet::new();
         let mut stack: Vec<NodeId> = roots.iter().rev().copied().collect();
         while let Some(id) = stack.pop() {
-            if memo.contains_key(&id) || seen.contains(&id) {
+            if memo[id].is_some() || seen.contains(&id) {
                 continue;
             }
-            let (key, inputs) = match dag.node(id) {
-                ExprNode::Leaf { matrix, .. } => {
-                    ((Arc::clone(ekey), SynopsisKey::leaf(matrix)), None)
+            let (key, inputs) = match dag.view_node(id) {
+                ViewNode::Matrix(matrix) => (Some(SynopsisKey::leaf(matrix)), None),
+                ViewNode::Synopsis(syn) => {
+                    memo[id] = Some(Arc::clone(syn));
+                    continue;
                 }
-                ExprNode::Op { inputs, .. } => {
-                    ((Arc::clone(ekey), SynopsisKey::node(dag, id)), Some(inputs))
-                }
+                ViewNode::Op { inputs, key, .. } => (key, Some(inputs)),
             };
-            if let Some(syn) = self.cache.get(&key) {
-                self.stats.cache_hits += 1;
-                self.m_hit.incr();
-                memo.insert(id, Arc::clone(syn));
+            if let Some(syn) = key.and_then(|k| self.lookup(&(Arc::clone(ekey), k))) {
+                memo[id] = Some(syn);
             } else {
-                self.stats.cache_misses += 1;
-                self.m_miss.incr();
                 seen.insert(id);
                 scheduled.push(id);
                 if let Some(inputs) = inputs {
@@ -617,7 +710,8 @@ impl EstimationContext {
         if scheduled.is_empty() {
             return Ok(());
         }
-        // DAGs are append-only, so ascending node id is a topological order.
+        // Views are topologically ordered: ascending node id is a topological
+        // order.
         scheduled.sort_unstable();
 
         // A node's wavefront level is one past its deepest *scheduled*
@@ -626,13 +720,13 @@ impl EstimationContext {
         let mut level: HashMap<NodeId, usize> = HashMap::with_capacity(scheduled.len());
         let mut max_level = 0usize;
         for &id in &scheduled {
-            let l = match dag.node(id) {
-                ExprNode::Leaf { .. } => 0,
-                ExprNode::Op { inputs, .. } => inputs
+            let l = match dag.view_node(id) {
+                ViewNode::Op { inputs, .. } => inputs
                     .iter()
                     .map(|i| level.get(i).map_or(0, |l| l + 1))
                     .max()
                     .unwrap_or(0),
+                _ => 0,
             };
             max_level = max_level.max(l);
             level.insert(id, l);
@@ -644,19 +738,20 @@ impl EstimationContext {
                 .copied()
                 .filter(|id| level[id] == l)
                 .collect();
-            let memo_ref: &HashMap<NodeId, Arc<Synopsis>> = memo;
+            let memo_ref: &Memo = memo;
             let results: Vec<Result<(Synopsis, u64)>> =
                 self.pool.run(batch.len(), |k| -> Result<(Synopsis, u64)> {
                     let t = OpTimer::start();
-                    let syn = match dag.node(batch[k]) {
-                        ExprNode::Leaf { matrix, .. } => est.build(matrix)?,
-                        ExprNode::Op { op, inputs } => {
+                    let syn = match dag.view_node(batch[k]) {
+                        ViewNode::Matrix(matrix) => est.build(matrix)?,
+                        ViewNode::Op { op, inputs, .. } => {
                             let ins = GatheredIns::gather(inputs, memo_ref);
                             // Allocating propagate: the scratch arena is
                             // single-threaded session state, and arena vs
                             // allocating paths are bit-identical anyway.
                             est.propagate(op, ins.as_slice())?
                         }
+                        ViewNode::Synopsis(_) => unreachable!("held synopses are never scheduled"),
                     };
                     Ok((syn, t.elapsed_ns()))
                 });
@@ -664,8 +759,8 @@ impl EstimationContext {
                 let (syn, ns) = res?;
                 let id = batch[k];
                 let syn = Arc::new(syn);
-                match dag.node(id) {
-                    ExprNode::Leaf { matrix, .. } => {
+                match dag.view_node(id) {
+                    ViewNode::Matrix(matrix) => {
                         let mut span = self
                             .rec
                             .span("build")
@@ -680,7 +775,7 @@ impl EstimationContext {
                         drop(span);
                         self.admit((Arc::clone(ekey), SynopsisKey::leaf(matrix)), &syn);
                     }
-                    ExprNode::Op { op, inputs } => {
+                    ViewNode::Op { op, inputs, key } => {
                         let mut span = self.rec.span("propagate").op(op.name());
                         if self.rec.is_enabled() {
                             let ins = GatheredIns::gather(inputs, memo);
@@ -693,13 +788,32 @@ impl EstimationContext {
                             span.set_bytes(syn.size_bytes());
                         }
                         drop(span);
-                        self.admit((Arc::clone(ekey), SynopsisKey::node(dag, id)), &syn);
+                        if let Some(key) = key {
+                            self.admit((Arc::clone(ekey), key), &syn);
+                        }
                     }
+                    ViewNode::Synopsis(_) => unreachable!("held synopses are never scheduled"),
                 }
-                memo.insert(id, syn);
+                memo[id] = Some(syn);
             }
         }
         Ok(())
+    }
+
+    /// Cache lookup that counts the hit or miss.
+    fn lookup(&mut self, key: &(Arc<str>, SynopsisKey)) -> Option<Arc<Synopsis>> {
+        match self.cache.get(key) {
+            Some(syn) => {
+                self.stats.cache_hits += 1;
+                self.m_hit.incr();
+                Some(Arc::clone(syn))
+            }
+            None => {
+                self.stats.cache_misses += 1;
+                self.m_miss.incr();
+                None
+            }
+        }
     }
 
     /// Inserts into the cache and refreshes the cache-derived counters.
@@ -716,6 +830,9 @@ impl EstimationContext {
     }
 }
 
+/// Per-walk memo of materialized synopses, indexed by node id.
+type Memo = Vec<Option<Arc<Synopsis>>>;
+
 /// Input synopses of an op node, gathered without a heap allocation for the
 /// unary/binary cases (every op in [`mnc_core::OpKind`] today).
 enum GatheredIns<'a> {
@@ -724,14 +841,15 @@ enum GatheredIns<'a> {
 }
 
 impl<'a> GatheredIns<'a> {
-    fn gather(inputs: &[NodeId], memo: &'a HashMap<NodeId, Arc<Synopsis>>) -> GatheredIns<'a> {
+    fn gather(inputs: &[NodeId], memo: &'a Memo) -> GatheredIns<'a> {
+        let get = |i: NodeId| memo[i].as_deref().expect("inputs are materialized first");
         match *inputs {
             [a] => {
-                let s = memo[&a].as_ref();
+                let s = get(a);
                 GatheredIns::Inline([s, s], 1)
             }
-            [a, b] => GatheredIns::Inline([memo[&a].as_ref(), memo[&b].as_ref()], 2),
-            _ => GatheredIns::Heap(inputs.iter().map(|i| memo[i].as_ref()).collect()),
+            [a, b] => GatheredIns::Inline([get(a), get(b)], 2),
+            _ => GatheredIns::Heap(inputs.iter().map(|&i| get(i)).collect()),
         }
     }
 
@@ -739,6 +857,15 @@ impl<'a> GatheredIns<'a> {
         match self {
             GatheredIns::Inline(arr, n) => &arr[..*n],
             GatheredIns::Heap(v) => v,
+        }
+    }
+
+    /// Output shape of `op` over these inputs.
+    fn output_shape(&self, op: &OpKind) -> Result<(usize, usize)> {
+        match self.as_slice() {
+            [a] => op.output_shape(&[a.shape()]),
+            [a, b] => op.output_shape(&[a.shape(), b.shape()]),
+            ins => op.output_shape(&ins.iter().map(|s| s.shape()).collect::<Vec<_>>()),
         }
     }
 }

@@ -74,8 +74,10 @@ struct ClientSession {
 /// Owns one [`EstimationContext`] per active client.
 ///
 /// The pool itself is single-threaded; services wrap it in a `Mutex` and
-/// hold the lock only long enough to run one request's estimation walk
-/// (synopsis loads and propagation are cheap relative to connection I/O).
+/// hold the lock only long enough to resolve one request's leaf synopses
+/// ([`EstimationContext::named_synopsis`]). The estimation walk itself runs
+/// after the lock is released, so walks from different clients run in
+/// parallel.
 pub struct SessionPool {
     config: SessionPoolConfig,
     sessions: HashMap<Arc<str>, ClientSession>,

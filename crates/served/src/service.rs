@@ -25,8 +25,7 @@ use mnc_core::serialize::from_bytes;
 use mnc_core::MncSketch;
 use mnc_estimators::mnc::MncSynopsis;
 use mnc_estimators::{MncEstimator, SparsityEstimator, Synopsis};
-use mnc_expr::{SessionPool, SessionPoolConfig};
-use mnc_kernels::WorkerPool;
+use mnc_expr::{EstimationContext, SessionPool, SessionPoolConfig};
 use mnc_obs::RequestContext;
 use mnc_obsd::{
     telemetry_response, Handler, ObsDaemon, ObsdConfig, Request, Response, SloConfig,
@@ -49,9 +48,9 @@ pub struct ServedConfig {
     pub catalog_dir: PathBuf,
     /// Concurrent compute slots.
     pub workers: usize,
-    /// Worker-thread budget for each estimation walk (propagation
-    /// wavefronts and per-session contexts); 1 keeps every walk
-    /// sequential. Responses are byte-identical at any setting.
+    /// Worker-thread budget for each estimation walk, primary and shadow
+    /// (propagation wavefronts and per-session contexts); 1 keeps every
+    /// walk sequential. Responses are byte-identical at any setting.
     pub threads: usize,
     /// Bounded wait queue beyond the compute slots.
     pub queue: usize,
@@ -144,7 +143,7 @@ struct Counters {
 /// [`mnc_obsd::serve_with`].
 pub struct EstimationService {
     catalog: Mutex<SynopsisCatalog>,
-    pool: WorkerPool,
+    threads: usize,
     sessions: Mutex<SessionPool>,
     gate: AdmissionGate,
     daemon: ObsDaemon,
@@ -185,7 +184,7 @@ impl EstimationService {
         };
         Ok(Arc::new(EstimationService {
             catalog: Mutex::new(catalog),
-            pool: WorkerPool::new(cfg.threads),
+            threads: cfg.threads.max(1),
             sessions: Mutex::new(SessionPool::new(sessions)),
             gate: AdmissionGate::new(cfg.workers, cfg.queue),
             daemon,
@@ -296,7 +295,7 @@ impl EstimationService {
             rebuilds,
             quarantined,
             self.gate.workers(),
-            self.pool.threads(),
+            self.threads,
             self.gate.queue(),
             self.gate.active(),
             active_sessions,
@@ -490,10 +489,15 @@ impl EstimationService {
                 }
             }
         }
-        // The walk itself runs without any service lock.
+        // The walk itself runs without any service lock, in a fresh context.
         let t = ctx.transition(t, "walk");
-        let out =
-            walk::estimate_dag_pooled(&est, &req.dag, &leaves, req.include_sketch, &self.pool)?;
+        let out = walk::estimate_dag_in(
+            &mut EstimationContext::new().with_threads(self.threads),
+            &est,
+            &req.dag,
+            &leaves,
+            req.include_sketch,
+        )?;
         self.counters.estimates.fetch_add(1, Ordering::Relaxed);
         let t = ctx.transition(t, "serialize");
         let resp = Response::json(200, proto::estimate_json(&out));

@@ -47,7 +47,10 @@ use std::time::Instant;
 
 use mnc_core::{MncSketch, OpKind};
 use mnc_estimators::meta::MetaSynopsis;
-use mnc_estimators::{BitsetEstimator, DensityMapEstimator, MetaAcEstimator, Synopsis};
+use mnc_estimators::{
+    BitsetEstimator, DensityMapEstimator, MetaAcEstimator, SparsityEstimator, Synopsis,
+};
+use mnc_expr::EstimationContext;
 use mnc_matrix::{ops, CsrMatrix};
 use mnc_obs::accuracy::symmetric_relative_error;
 use mnc_obs::export::json_escape;
@@ -266,6 +269,8 @@ struct ShadowShared {
     dropped_n: AtomicU64,
     /// Worst-divergence exemplars, sorted worst-first, truncated to cap.
     exemplars: Mutex<Vec<ShadowExemplar>>,
+    /// Worker-thread budget of each alternate walk ([`ServedConfig::threads`]).
+    threads: usize,
 }
 
 /// The service's shadow-estimation plane. See the module docs.
@@ -312,6 +317,7 @@ impl ShadowPlane {
             completed_n: AtomicU64::new(0),
             dropped_n: AtomicU64::new(0),
             exemplars: Mutex::new(Vec::new()),
+            threads: cfg.threads,
         });
         let (tx, workers) = if enabled {
             let (tx, rx) = sync_channel::<ShadowJob>(QUEUE_CAP);
@@ -500,11 +506,13 @@ fn process(shared: &ShadowShared, job: ShadowJob) {
             continue; // no sidecar for some leaf (octet-stream ingest)
         };
         let start = Instant::now();
-        let outcome = match ei {
-            0 => walk::estimate_dag(&MetaAcEstimator, &job.dag, &leaves, false),
-            1 => walk::estimate_dag(&DensityMapEstimator::default(), &job.dag, &leaves, false),
-            _ => walk::estimate_dag(&BitsetEstimator::default(), &job.dag, &leaves, false),
+        let est: &dyn SparsityEstimator = match ei {
+            0 => &MetaAcEstimator,
+            1 => &DensityMapEstimator::default(),
+            _ => &BitsetEstimator::default(),
         };
+        let ctx = &mut EstimationContext::new().with_threads(shared.threads);
+        let outcome = walk::estimate_dag_in(ctx, est, &job.dag, &leaves, false);
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         match outcome {
             Ok(out) => {

@@ -1,33 +1,28 @@
-//! The service-side estimation walk.
+//! The service-side request DAG and its estimation walk.
 //!
 //! `POST /v1/estimate` carries a small expression DAG over *named* catalog
-//! matrices. This module evaluates it exactly the way the in-process
-//! library does — [`mnc_expr::EstimationContext::estimate_root`] — so a
-//! client talking HTTP gets **bit-identical** numbers to one linking the
-//! crates directly:
+//! matrices. This module holds the request type ([`DagSpec`]), its
+//! structural validation, and [`EstimateOutcome`]. The walk itself is not
+//! here: [`estimate_dag_in`] hands the DAG, with its leaves already
+//! resolved to catalog synopses, to the same
+//! [`EstimationContext::estimate_view`] walk the in-process library runs
+//! for an [`ExprDag`](mnc_expr::ExprDag). A client talking HTTP therefore
+//! gets **bit-identical** numbers to one linking the crates directly, by
+//! construction: the traversal, memoization, root estimate, optional
+//! root-sketch propagation and parallel wavefront exist once.
 //!
-//! * leaves resolve to catalog synopses (built once by deterministic
-//!   [`MncSketch::build`](mnc_core::MncSketch::build), so loading equals
-//!   building);
-//! * intermediates are propagated depth-first, inputs in order, memoized
-//!   per walk — the exact order the context's `materialize` uses, which
-//!   matters because MNC propagation consumes the estimator's internal
-//!   RNG sequence;
-//! * the root is *estimated* directly from its input synopses, never
-//!   propagated — unless the caller also asked for the root sketch, in
-//!   which case the extra propagate happens strictly **after** the
-//!   estimate so the reported sparsity is unchanged.
-//!
-//! Each request runs against a fresh estimator, which pins the RNG
-//! sequence to the walk and makes responses independent of request
-//! ordering under concurrency.
+//! Leaves are catalog sketches (built once by deterministic
+//! [`MncSketch::build`](mnc_core::MncSketch::build), so loading equals
+//! building). Callers run each walk against a fresh estimator and a fresh
+//! context, which pins the RNG sequence to the walk and makes responses
+//! independent of request ordering under concurrency.
 
 use std::sync::Arc;
 
 use mnc_core::serialize::to_bytes;
-use mnc_core::OpKind;
+use mnc_core::{EstimatorError, OpKind};
 use mnc_estimators::{SparsityEstimator, Synopsis};
-use mnc_kernels::WorkerPool;
+use mnc_expr::{DagView, EstimationContext, NodeId, ViewNode};
 
 use crate::error::ServiceError;
 
@@ -82,7 +77,7 @@ impl DagSpec {
         for (idx, node) in self.nodes.iter().enumerate() {
             if let NodeSpec::Op { op, inputs } = node {
                 if inputs.len() != op.arity() {
-                    return Err(mnc_core::EstimatorError::arity(op, inputs.len()).into());
+                    return Err(EstimatorError::arity(op, inputs.len()).into());
                 }
                 for &i in inputs {
                     if i >= idx {
@@ -124,212 +119,88 @@ pub struct EstimateOutcome {
     pub sketch_bytes: Option<Vec<u8>>,
 }
 
-/// Runs the walk. `leaves[i]` must hold the synopsis for every
-/// [`NodeSpec::Leaf`] at index `i` (the service resolves them from the
-/// per-client session before calling, so propagation runs lock-free).
+/// Runs the walk in a fresh single-threaded [`EstimationContext`].
+/// `leaves[i]` must hold the synopsis for every [`NodeSpec::Leaf`] at index
+/// `i` (the service resolves them from the per-client session before
+/// calling, so propagation runs lock-free).
 pub fn estimate_dag<E: SparsityEstimator + ?Sized>(
     est: &E,
     dag: &DagSpec,
     leaves: &[Option<Arc<Synopsis>>],
     want_sketch: bool,
 ) -> Result<EstimateOutcome, ServiceError> {
-    estimate_dag_pooled(est, dag, leaves, want_sketch, &WorkerPool::new(1))
+    estimate_dag_in(&mut EstimationContext::new(), est, dag, leaves, want_sketch)
 }
 
-/// [`estimate_dag`] with a worker-pool budget: when the pool is parallel
-/// *and* the estimator declares order-invariance with a [`Sync`] view
-/// ([`SparsityEstimator::order_invariant`] /
-/// [`SparsityEstimator::as_sync`]), reachable intermediates are propagated
-/// in topological wavefronts before the sequential tail runs. Every other
-/// estimator — including the service's default probabilistic MNC, whose
-/// RNG stream makes propagation order-sensitive — keeps the exact
-/// depth-first schedule, so responses are byte-identical under any
-/// `threads` setting.
-pub fn estimate_dag_pooled<E: SparsityEstimator + ?Sized>(
+/// [`estimate_dag`] in a caller-built context — the service passes
+/// `EstimationContext::new().with_threads(n)`, whose wavefront engages only
+/// for order-invariant estimators, so responses are byte-identical under
+/// any `threads` setting.
+pub fn estimate_dag_in<E: SparsityEstimator + ?Sized>(
+    ctx: &mut EstimationContext,
     est: &E,
     dag: &DagSpec,
     leaves: &[Option<Arc<Synopsis>>],
     want_sketch: bool,
-    pool: &WorkerPool,
 ) -> Result<EstimateOutcome, ServiceError> {
-    debug_assert_eq!(leaves.len(), dag.nodes.len());
-    let mut memo: Vec<Option<Arc<Synopsis>>> = vec![None; dag.nodes.len()];
-    if pool.is_parallel() && est.order_invariant() {
-        if let Some(sync_est) = est.as_sync() {
-            let mut roots: Vec<usize> = match &dag.nodes[dag.root] {
-                NodeSpec::Leaf(_) => vec![dag.root],
-                NodeSpec::Op { inputs, .. } => inputs.clone(),
-            };
-            if want_sketch {
-                // Pure estimators are indifferent to propagating the root
-                // before or after the estimate, so fold it into the
-                // wavefront instead of paying a sequential tail propagate.
-                roots.push(dag.root);
-            }
-            prefill_wavefront(sync_est, dag, leaves, &roots, &mut memo, pool)?;
+    dag.validate()?;
+    if leaves.len() != dag.nodes.len() {
+        return Err(EstimatorError::Internal(format!(
+            "{} leaf slots for a {}-node dag",
+            leaves.len(),
+            dag.nodes.len()
+        ))
+        .into());
+    }
+    for (node, leaf) in dag.nodes.iter().zip(leaves) {
+        if let (NodeSpec::Leaf(name), None) = (node, leaf) {
+            return Err(ServiceError::UnknownMatrix(name.clone()));
         }
     }
-
-    let (sparsity, shape) = match &dag.nodes[dag.root] {
-        // A leaf root answers its own (exact) sparsity — the estimate_root
-        // contract.
-        NodeSpec::Leaf(_) => {
-            let syn = materialize(est, dag, leaves, dag.root, &mut memo)?;
-            (syn.sparsity(), syn.shape())
-        }
-        NodeSpec::Op { op, inputs } => {
-            for &i in inputs {
-                materialize(est, dag, leaves, i, &mut memo)?;
-            }
-            let ins: Vec<&Synopsis> = inputs
-                .iter()
-                .map(|&i| &**memo[i].as_ref().expect("just materialized"))
-                .collect();
-            let shapes: Vec<(usize, usize)> = ins.iter().map(|s| s.shape()).collect();
-            let shape = op.output_shape(&shapes)?;
-            let sparsity = est.estimate(op, &ins)?;
-            (sparsity, shape)
+    let root = ctx.estimate_view(est, &Resolved { dag, leaves }, dag.root, want_sketch)?;
+    let sketch_bytes = match root.synopsis.as_deref() {
+        None => None,
+        Some(Synopsis::Mnc(s)) => Some(to_bytes(&s.sketch)),
+        Some(_) => {
+            return Err(ServiceError::BadRequest(
+                "sketch output is only available from the MNC estimator".into(),
+            ))
         }
     };
-    let nnz = (sparsity * shape.0 as f64 * shape.1 as f64).round() as u64;
-
-    // The optional root sketch is propagated only after the estimate so the
-    // extra RNG consumption cannot perturb the reported sparsity.
-    let sketch_bytes = if want_sketch {
-        let syn = materialize(est, dag, leaves, dag.root, &mut memo)?;
-        match &*syn {
-            Synopsis::Mnc(s) => Some(to_bytes(&s.sketch)),
-            _ => {
-                return Err(ServiceError::BadRequest(
-                    "sketch output is only available from the MNC estimator".into(),
-                ))
-            }
-        }
-    } else {
-        None
-    };
-
     Ok(EstimateOutcome {
-        sparsity,
-        nnz,
-        shape,
+        sparsity: root.sparsity,
+        nnz: (root.sparsity * root.shape.0 as f64 * root.shape.1 as f64).round() as u64,
+        shape: root.shape,
         sketch_bytes,
     })
 }
 
-/// Wavefront prefill for order-invariant estimators: resolves reachable
-/// leaves, then propagates scheduled ops level by level on pool workers,
-/// merging results into `memo` in ascending node order. Request DAGs are
-/// validated to reference only earlier indices, so ascending index *is*
-/// topological order.
-fn prefill_wavefront(
-    est: &(dyn SparsityEstimator + Sync),
-    dag: &DagSpec,
-    leaves: &[Option<Arc<Synopsis>>],
-    roots: &[usize],
-    memo: &mut [Option<Arc<Synopsis>>],
-    pool: &WorkerPool,
-) -> Result<(), ServiceError> {
-    let mut scheduled: Vec<usize> = Vec::new();
-    let mut seen = vec![false; dag.nodes.len()];
-    let mut stack: Vec<usize> = roots.iter().rev().copied().collect();
-    while let Some(i) = stack.pop() {
-        if memo[i].is_some() || seen[i] {
-            continue;
-        }
-        seen[i] = true;
-        match &dag.nodes[i] {
-            NodeSpec::Leaf(name) => {
-                let syn = leaves[i]
-                    .as_ref()
-                    .map(Arc::clone)
-                    .ok_or_else(|| ServiceError::UnknownMatrix(name.clone()))?;
-                memo[i] = Some(syn);
-            }
-            NodeSpec::Op { inputs, .. } => {
-                scheduled.push(i);
-                stack.extend(inputs.iter().rev());
-            }
-        }
-    }
-    if scheduled.is_empty() {
-        return Ok(());
-    }
-    scheduled.sort_unstable();
-
-    // A node's level is one past its deepest scheduled input; leaves and
-    // already-memoized nodes are data, not work.
-    let mut level = vec![0usize; dag.nodes.len()];
-    let mut in_sched = vec![false; dag.nodes.len()];
-    let mut max_level = 0usize;
-    for &i in &scheduled {
-        if let NodeSpec::Op { inputs, .. } = &dag.nodes[i] {
-            let l = inputs
-                .iter()
-                .map(|&j| if in_sched[j] { level[j] + 1 } else { 0 })
-                .max()
-                .unwrap_or(0);
-            level[i] = l;
-            in_sched[i] = true;
-            max_level = max_level.max(l);
-        }
-    }
-
-    for l in 0..=max_level {
-        let batch: Vec<usize> = scheduled
-            .iter()
-            .copied()
-            .filter(|&i| level[i] == l)
-            .collect();
-        let memo_ref: &[Option<Arc<Synopsis>>] = memo;
-        let results = pool.run(batch.len(), |k| {
-            let NodeSpec::Op { op, inputs } = &dag.nodes[batch[k]] else {
-                unreachable!("only ops are scheduled");
-            };
-            let ins: Vec<&Synopsis> = inputs
-                .iter()
-                .map(|&j| &**memo_ref[j].as_ref().expect("lower wavefront level"))
-                .collect();
-            est.propagate(op, &ins)
-        });
-        for (k, res) in results.into_iter().enumerate() {
-            memo[batch[k]] = Some(Arc::new(res?));
-        }
-    }
-    Ok(())
+/// A request DAG with its leaves resolved, as the context walk sees it.
+/// Intermediates carry no cache key: they are request-local.
+struct Resolved<'a> {
+    dag: &'a DagSpec,
+    leaves: &'a [Option<Arc<Synopsis>>],
 }
 
-/// Depth-first, memoized materialization — the same order
-/// `EstimationContext::materialize` walks, which keeps the estimator's RNG
-/// consumption identical to the in-process path.
-fn materialize<E: SparsityEstimator + ?Sized>(
-    est: &E,
-    dag: &DagSpec,
-    leaves: &[Option<Arc<Synopsis>>],
-    idx: usize,
-    memo: &mut Vec<Option<Arc<Synopsis>>>,
-) -> Result<Arc<Synopsis>, ServiceError> {
-    if let Some(syn) = &memo[idx] {
-        return Ok(Arc::clone(syn));
+impl DagView for Resolved<'_> {
+    fn node_count(&self) -> usize {
+        self.dag.nodes.len()
     }
-    let syn = match &dag.nodes[idx] {
-        NodeSpec::Leaf(name) => leaves[idx]
-            .as_ref()
-            .map(Arc::clone)
-            .ok_or_else(|| ServiceError::UnknownMatrix(name.clone()))?,
-        NodeSpec::Op { op, inputs } => {
-            for &i in inputs {
-                materialize(est, dag, leaves, i, memo)?;
-            }
-            let ins: Vec<&Synopsis> = inputs
-                .iter()
-                .map(|&i| &**memo[i].as_ref().expect("just materialized"))
-                .collect();
-            Arc::new(est.propagate(op, &ins)?)
+
+    fn view_node(&self, id: NodeId) -> ViewNode<'_> {
+        match &self.dag.nodes[id] {
+            NodeSpec::Leaf(_) => ViewNode::Synopsis(
+                self.leaves[id]
+                    .as_ref()
+                    .expect("checked by estimate_dag_in"),
+            ),
+            NodeSpec::Op { op, inputs } => ViewNode::Op {
+                op,
+                inputs,
+                key: None,
+            },
         }
-    };
-    memo[idx] = Some(Arc::clone(&syn));
-    Ok(syn)
+    }
 }
 
 #[cfg(test)]
@@ -526,12 +397,12 @@ mod tests {
         for want_sketch in [false, true] {
             let seq = estimate_dag(&det(), &dag, &leaves, want_sketch).unwrap();
             for threads in [2, 8] {
-                let par = estimate_dag_pooled(
+                let par = estimate_dag_in(
+                    &mut EstimationContext::new().with_threads(threads),
                     &det(),
                     &dag,
                     &leaves,
                     want_sketch,
-                    &WorkerPool::new(threads),
                 )
                 .unwrap();
                 assert_eq!(seq.sparsity.to_bits(), par.sparsity.to_bits());
@@ -543,16 +414,39 @@ mod tests {
         // The default probabilistic estimator stays on the sequential
         // schedule, so a parallel pool changes nothing.
         let seq = estimate_dag(&MncEstimator::new(), &dag, &leaves, true).unwrap();
-        let par = estimate_dag_pooled(
+        let par = estimate_dag_in(
+            &mut EstimationContext::new().with_threads(8),
             &MncEstimator::new(),
             &dag,
             &leaves,
             true,
-            &WorkerPool::new(8),
         )
         .unwrap();
         assert_eq!(seq.sparsity.to_bits(), par.sparsity.to_bits());
         assert_eq!(seq.sketch_bytes, par.sketch_bytes);
+    }
+
+    #[test]
+    fn mismatched_leaf_slots_are_errors_not_panics() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(17);
+        let a = Arc::new(gen::rand_uniform(&mut r, 10, 10, 0.2));
+        let est = MncEstimator::new();
+        let dag = DagSpec {
+            nodes: vec![leaf("A"), leaf("B"), op(OpKind::MatMul, &[0, 1])],
+            root: 2,
+        };
+        let syn = Some(Arc::new(est.build(&a).unwrap()));
+
+        let short = vec![syn.clone()];
+        assert!(matches!(
+            estimate_dag(&est, &dag, &short, false),
+            Err(ServiceError::Estimator(EstimatorError::Internal(_)))
+        ));
+        let missing = vec![syn, None, None];
+        assert!(matches!(
+            estimate_dag(&est, &dag, &missing, false),
+            Err(ServiceError::UnknownMatrix(name)) if name == "B"
+        ));
     }
 
     #[test]
