@@ -115,15 +115,16 @@ impl ObsArgs {
     }
 
     /// A recorder matching the flags: a full (unbounded) recorder when a
-    /// report output was requested, a **bounded** one when only
-    /// `--serve-obs` asked for live telemetry (service mode — span storage
-    /// must not grow without limit), and the zero-overhead disabled
-    /// recorder otherwise.
+    /// report output was requested, a [forwarding](Recorder::forwarding)
+    /// one when only `--serve-obs` asked for live telemetry (service mode —
+    /// the daemon's flight ring, sized by `--flight-capacity`, is the one
+    /// place spans are kept), and the zero-overhead disabled recorder
+    /// otherwise.
     pub fn recorder(&self) -> Recorder {
         if self.trace.is_some() || self.metrics.is_some() || self.format_explicit {
             Recorder::enabled()
         } else if self.serve_obs.is_some() {
-            Recorder::enabled_with_capacity(self.flight_capacity)
+            Recorder::forwarding()
         } else {
             Recorder::disabled()
         }
@@ -286,18 +287,27 @@ mod tests {
         .unwrap();
         assert_eq!(rest, s(&["a.mtx"]));
         assert!(obs.enabled());
-        // Service mode without report flags: bounded storage.
+        // Service mode without report flags: the recorder stores nothing.
         let rec = obs.recorder();
-        assert_eq!(rec.ring_capacity(), Some(16));
+        assert!(rec.is_enabled());
         // With a report flag too, the unbounded recorder wins.
         let (both, _) =
             ObsArgs::parse(&s(&["--serve-obs", "127.0.0.1:0", "--obs-format", "jsonl"])).unwrap();
-        assert_eq!(both.recorder().ring_capacity(), None);
-        assert!(both.recorder().is_enabled());
+        let full = both.recorder();
+        {
+            let _g = full.span("work");
+        }
+        assert_eq!(full.span_count(), 1);
 
         // The endpoint comes up and answers /healthz.
         let server = obs.serve().unwrap().expect("flag set");
         assert!(server.install(&rec));
+        // Spans land once, in the flight ring bounded by --flight-capacity.
+        for _ in 0..40 {
+            let _g = rec.span("work");
+        }
+        assert_eq!(rec.span_count(), 0);
+        assert_eq!(server.daemon().flight().span_len(), 16);
         let addr = server.local_addr();
         use std::io::{Read as _, Write as _};
         let mut c = std::net::TcpStream::connect(addr).unwrap();

@@ -263,17 +263,16 @@ impl EstimationContext {
     /// the `/metrics` aggregation (snapshotted periodically by the
     /// daemon's server ticker, freshly on every scrape).
     ///
-    /// A session without a recorder gets a **bounded** one (ring capacity
-    /// = the daemon's flight capacity) — the right default for the
-    /// long-running services obsd exists for, where unbounded span storage
-    /// would grow without limit. Call
+    /// A session without a recorder gets a [forwarding](Recorder::forwarding)
+    /// one, which stores no records itself: the daemon's flight ring is
+    /// the one place its spans are kept, in fixed memory — the right
+    /// default for the long-running services obsd exists for. Call
     /// [`with_recorder`](Self::with_recorder) first to choose a different
     /// recorder (e.g. an unbounded one for a batch run that also wants
     /// live scrapes).
     pub fn with_obsd(mut self, daemon: &mnc_obsd::ObsDaemon) -> Self {
         if !self.rec.is_enabled() {
-            let bounded = Recorder::enabled_with_capacity(daemon.flight().capacity());
-            self = self.with_recorder(bounded);
+            self = self.with_recorder(Recorder::forwarding());
         }
         daemon.install(&self.rec);
         // Seed the daemon's cached snapshot so a scrape racing session
@@ -1091,11 +1090,9 @@ mod tests {
             flight_capacity: 32,
             ..ObsdConfig::default()
         });
-        // No recorder yet: with_obsd installs a bounded one sized like the
-        // flight ring.
+        // No recorder yet: with_obsd installs a forwarding one.
         let mut ctx = EstimationContext::new().with_obsd(&daemon);
         assert!(ctx.recorder().is_enabled());
-        assert_eq!(ctx.recorder().ring_capacity(), Some(32));
         assert!(ctx.recorder().has_sink());
 
         let mut r = rng(11);
@@ -1105,9 +1102,11 @@ mod tests {
         let root = dag.matmul(a, b).unwrap();
         ctx.estimate_root(&MncEstimator::new(), &dag, root).unwrap();
 
-        // The estimation spans landed in the daemon's flight ring and the
-        // session registry reached the aggregated metrics.
+        // The estimation spans landed in the daemon's flight ring only —
+        // the session recorder keeps no copy — and the session registry
+        // reached the aggregated metrics.
         assert!(daemon.flight().span_len() > 0);
+        assert_eq!(ctx.recorder().span_count(), 0);
         assert!(daemon.metrics_text().contains("mnc_session_build_ns_count"));
 
         // A pre-attached recorder is reused, not replaced.
@@ -1116,7 +1115,12 @@ mod tests {
             .with_recorder(rec.clone())
             .with_obsd(&daemon);
         assert!(ctx2.recorder().same_as(&rec));
-        assert_eq!(ctx2.recorder().ring_capacity(), None);
+        let flight_before = daemon.flight().spans_pushed();
+        {
+            let _g = ctx2.recorder().span("batch");
+        }
+        assert_eq!(rec.span_count(), 1, "an unbounded recorder keeps its spans");
+        assert_eq!(daemon.flight().spans_pushed(), flight_before + 1);
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl<T> LockFreeList<T> {
         }
     }
 
-    /// Clones every record, newest first (callers re-sort by timestamp).
+    /// Clones every record, oldest first (push order).
     fn collect(&self) -> Vec<T>
     where
         T: Clone,
@@ -144,6 +144,7 @@ impl<T> LockFreeList<T> {
             out.push(node.value.clone());
             cur = node.next;
         }
+        out.reverse(); // the list is newest-first
         out
     }
 
@@ -170,55 +171,6 @@ impl<T> Drop for LockFreeList<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Record storage: unbounded (batch) or ring-bounded (services)
-// ---------------------------------------------------------------------------
-
-/// Backing storage for one record stream. Batch runs keep every record
-/// (the append-only list); long-running services cap retention with a
-/// [`RecordRing`] so memory stays O(capacity) forever.
-pub(crate) enum RecordStore<T> {
-    Unbounded(LockFreeList<T>),
-    Bounded(RecordRing<T>),
-}
-
-impl<T: Clone + Send> RecordStore<T> {
-    fn new(capacity: Option<usize>) -> Self {
-        match capacity {
-            Some(cap) => RecordStore::Bounded(RecordRing::new(cap)),
-            None => RecordStore::Unbounded(LockFreeList::new()),
-        }
-    }
-
-    fn push(&self, value: T) {
-        match self {
-            RecordStore::Unbounded(list) => list.push(value),
-            RecordStore::Bounded(ring) => {
-                ring.push(value);
-            }
-        }
-    }
-
-    /// Retained records, oldest first.
-    fn collect(&self) -> Vec<T> {
-        match self {
-            RecordStore::Unbounded(list) => {
-                let mut v = list.collect();
-                v.reverse(); // the list is newest-first
-                v
-            }
-            RecordStore::Bounded(ring) => ring.collect(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            RecordStore::Unbounded(list) => list.len(),
-            RecordStore::Bounded(ring) => ring.len(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Recorder
 // ---------------------------------------------------------------------------
 
@@ -230,11 +182,11 @@ pub(crate) struct RecorderShared {
     pub(crate) token: u64,
     pub(crate) epoch: Instant,
     pub(crate) next_span_id: AtomicU64,
-    pub(crate) spans: RecordStore<SpanRecord>,
-    pub(crate) accuracy: RecordStore<AccuracyRecord>,
+    /// Retained records; `None` for a [forwarding](Recorder::forwarding)
+    /// recorder, which hands records only to its sink.
+    pub(crate) spans: Option<LockFreeList<SpanRecord>>,
+    pub(crate) accuracy: Option<LockFreeList<AccuracyRecord>>,
     pub(crate) registry: MetricsRegistry,
-    /// Ring capacity when bounded (`None` = keep everything).
-    pub(crate) capacity: Option<usize>,
     /// Optional live tap, set once (see [`Recorder::set_sink`]).
     pub(crate) sink: OnceLock<Arc<dyn RecordSink>>,
 }
@@ -251,31 +203,29 @@ impl Recorder {
     /// A recorder that records: spans, metrics, and accuracy telemetry all
     /// collect into shared, thread-safe state. Storage is unbounded — right
     /// for batch runs that export a full report at the end; long-running
-    /// services should use [`Recorder::enabled_with_capacity`].
+    /// services should use [`Recorder::forwarding`].
     pub fn enabled() -> Recorder {
-        Self::build(None)
+        Self::build(true)
     }
 
-    /// A recorder whose span and accuracy storage is a fixed-capacity
-    /// overwrite ring ([`RecordRing`]): the most recent `capacity` records
-    /// of each stream are retained in O(capacity) memory, forever. This is
-    /// the mode for long-running services, where the unbounded recorder
-    /// would grow without limit. Metrics are unaffected (the registry is
-    /// bounded by its name set by construction).
-    pub fn enabled_with_capacity(capacity: usize) -> Recorder {
-        Self::build(Some(capacity.max(1)))
+    /// A recorder that keeps its metrics registry but retains no records:
+    /// every finished span and accuracy record goes only to the installed
+    /// [`RecordSink`] (and is dropped when there is none). This is the mode
+    /// for long-running services, whose sink — `mnc-obsd`'s flight ring —
+    /// already keeps the most recent records in fixed memory.
+    pub fn forwarding() -> Recorder {
+        Self::build(false)
     }
 
-    fn build(capacity: Option<usize>) -> Recorder {
+    fn build(retain: bool) -> Recorder {
         Recorder {
             inner: Some(Arc::new(RecorderShared {
                 token: RECORDER_TOKENS.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
                 next_span_id: AtomicU64::new(1),
-                spans: RecordStore::new(capacity),
-                accuracy: RecordStore::new(capacity),
+                spans: retain.then(LockFreeList::new),
+                accuracy: retain.then(LockFreeList::new),
                 registry: MetricsRegistry::new(),
-                capacity,
                 sink: OnceLock::new(),
             })),
         }
@@ -290,12 +240,6 @@ impl Recorder {
     /// Whether this recorder collects anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The span/accuracy ring capacity, or `None` for an unbounded (or
-    /// disabled) recorder.
-    pub fn ring_capacity(&self) -> Option<usize> {
-        self.inner.as_ref().and_then(|s| s.capacity)
     }
 
     /// Installs a live [`RecordSink`] tap: every finished span and accuracy
@@ -347,7 +291,9 @@ impl Recorder {
             if let Some(sink) = shared.sink.get() {
                 sink.on_accuracy(&rec);
             }
-            shared.accuracy.push(rec);
+            if let Some(list) = &shared.accuracy {
+                list.push(rec);
+            }
         }
     }
 
@@ -380,30 +326,25 @@ impl Recorder {
         self.inner.as_deref().map(|s| &s.registry)
     }
 
-    /// All retained finished spans, in start order (the newest `capacity`
-    /// for a bounded recorder).
+    /// All retained finished spans, in start order (none for a disabled or
+    /// forwarding recorder).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        match &self.inner {
-            Some(s) => {
-                let mut v = s.spans.collect();
-                v.sort_by_key(|r| (r.start_ns, r.id));
-                v
-            }
-            None => Vec::new(),
-        }
+        let list = self.inner.as_deref().and_then(|s| s.spans.as_ref());
+        let mut v = list.map_or_else(Vec::new, LockFreeList::collect);
+        v.sort_by_key(|r| (r.start_ns, r.id));
+        v
     }
 
     /// Number of retained finished spans (cheap-ish; walks the list).
     pub fn span_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |s| s.spans.len())
+        let list = self.inner.as_deref().and_then(|s| s.spans.as_ref());
+        list.map_or(0, LockFreeList::len)
     }
 
     /// All retained accuracy records, in emission order.
     pub fn accuracy(&self) -> Vec<AccuracyRecord> {
-        match &self.inner {
-            Some(s) => s.accuracy.collect(),
-            None => Vec::new(),
-        }
+        let list = self.inner.as_deref().and_then(|s| s.accuracy.as_ref());
+        list.map_or_else(Vec::new, LockFreeList::collect)
     }
 
     /// Snapshot of spans, metrics, and accuracy records, ready to export.
@@ -419,7 +360,7 @@ impl Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(s) => write!(f, "Recorder(enabled, {} spans)", s.spans.len()),
+            Some(_) => write!(f, "Recorder(enabled, {} spans)", self.span_count()),
             None => write!(f, "Recorder(disabled)"),
         }
     }
@@ -550,36 +491,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 4000, "no push may be lost or duplicated");
-    }
-
-    #[test]
-    fn bounded_recorder_retains_the_newest_spans() {
-        let rec = Recorder::enabled_with_capacity(8);
-        assert_eq!(rec.ring_capacity(), Some(8));
-        for i in 0..100u64 {
-            let _g = span!(rec, "work", nnz_in = i);
-        }
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 8, "ring caps retention");
-        // Span ids are 1-based and monotone: the retained ones are 93..=100.
-        assert!(spans.iter().all(|s| s.id > 92), "{spans:?}");
-        assert_eq!(rec.span_count(), 8);
-        // Accuracy is bounded by the same capacity.
-        for i in 0..20 {
-            rec.record_accuracy(AccuracyRecord::new(
-                format!("c{i}"),
-                "matmul",
-                "MNC",
-                0.1,
-                0.1,
-            ));
-        }
-        let acc = rec.accuracy();
-        assert_eq!(acc.len(), 8);
-        assert_eq!(acc.last().unwrap().case, "c19", "newest records retained");
-        // Unbounded recorders report no capacity.
-        assert_eq!(Recorder::enabled().ring_capacity(), None);
-        assert_eq!(Recorder::disabled().ring_capacity(), None);
     }
 
     #[test]

@@ -35,6 +35,29 @@ pub fn bucket_upper_bound(bucket: usize) -> u64 {
     }
 }
 
+/// The one quantile rule over log₂ bucket counts: nearest rank
+/// `ceil(q·count)`, answered with the upper bound of the bucket holding
+/// that rank, clamped to the exact `max`; 0 when `count` is 0.
+pub fn bucket_quantile(
+    buckets: impl IntoIterator<Item = u64>,
+    count: u64,
+    max: u64,
+    q: f64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+    let mut cum = 0u64;
+    for (k, c) in buckets.into_iter().enumerate() {
+        cum += c;
+        if cum >= rank {
+            return bucket_upper_bound(k).min(max);
+        }
+    }
+    max
+}
+
 // ---------------------------------------------------------------------------
 // Plain (single-writer) histogram — also used by `EstimationStats`
 // ---------------------------------------------------------------------------
@@ -119,18 +142,7 @@ impl LatencyHisto {
     /// The `q`-quantile (`0 < q <= 1`) as the upper bound of the bucket
     /// containing that rank, clamped to the exact max. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return bucket_upper_bound(k).min(self.max);
-            }
-        }
-        self.max
+        bucket_quantile(self.buckets.iter().copied(), self.count, self.max, q)
     }
 }
 

@@ -197,7 +197,9 @@ impl Drop for SpanGuard {
         if let Some(sink) = shared.sink.get() {
             sink.on_span(&record);
         }
-        shared.spans.push(record);
+        if let Some(list) = &shared.spans {
+            list.push(record);
+        }
     }
 }
 

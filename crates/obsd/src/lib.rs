@@ -23,7 +23,7 @@
 //! use mnc_obsd::{ObsDaemon, ObsdConfig};
 //!
 //! let daemon = ObsDaemon::new(ObsdConfig::default());
-//! let rec = Recorder::enabled_with_capacity(4096);
+//! let rec = Recorder::forwarding();         // records live in the flight ring
 //! daemon.install(&rec);                       // live span/accuracy tap
 //! let server = daemon.serve("127.0.0.1:0").unwrap();
 //! println!("scrape http://{}/metrics", server.local_addr());
@@ -32,6 +32,7 @@
 pub mod drift;
 pub mod flight;
 pub mod http;
+mod ring;
 pub mod slo;
 pub mod timeline;
 
@@ -381,6 +382,27 @@ mod tests {
         assert_eq!(daemon.flight().span_len(), 1);
         assert_eq!(daemon.flight().accuracy_len(), 1);
         assert_eq!(daemon.drift().stats().len(), 1);
+    }
+
+    #[test]
+    fn a_forwarding_recorder_leaves_its_records_to_the_flight_ring() {
+        let daemon = ObsDaemon::new(small());
+        let rec = Recorder::forwarding();
+        assert!(daemon.install(&rec));
+        for _ in 0..20 {
+            let _g = span!(rec, "estimate");
+        }
+        rec.record_accuracy(AccuracyRecord::new("B1.1", "matmul", "MNC", 0.1, 0.1));
+        rec.counter("cache.hit").add(2);
+        // Every record reached the flight ring (capacity 8) ...
+        assert_eq!(daemon.flight().spans_pushed(), 20);
+        assert_eq!(daemon.flight().span_len(), 8);
+        assert_eq!(daemon.flight().accuracy_len(), 1);
+        // ... and nowhere else, while the registry still aggregates.
+        assert_eq!(rec.span_count(), 0);
+        assert!(rec.spans().is_empty() && rec.accuracy().is_empty());
+        let text = daemon.metrics_text();
+        assert!(text.contains("mnc_cache_hit_total 2"), "{text}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! (factor 6). Because the folds are the exact merges above, **every 10s
 //! frame equals the merge of exactly the ten 1s frames it replaced**, and
 //! every 60s frame the merge of six 10s frames — property-tested in
-//! `tests/timeline_props.rs`. With the default capacity of 360 frames per
+//! `tests/timeline_property.rs`. With the default capacity of 360 frames per
 //! ring this retains 6 minutes at 1s, 1 hour at 10s, and 6 hours at 60s
 //! in O(capacity × series) memory, allocated at registration and never
 //! again (proven in `tests/timeline_alloc.rs`).
@@ -45,10 +45,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use mnc_obs::metrics::{bucket_of, NBUCKETS};
+use mnc_obs::metrics::{bucket_of, bucket_quantile, NBUCKETS};
 use mnc_obs::prometheus::split_labeled_name;
 use mnc_obs::{LatencyHisto, MetricSnapshot};
 
+use crate::ring::Ring;
 use crate::slo::{SloConfig, SloEngine, SloSample, SloTransition, N_OBJECTIVES};
 
 /// The three retention resolutions, coarsest last.
@@ -85,7 +86,7 @@ impl Default for TimelineConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Frames and rings
+// Frames
 // ---------------------------------------------------------------------------
 
 /// One scalar frame: counter delta or last gauge level over the interval
@@ -140,59 +141,11 @@ impl HistoFrame {
         self.t_s = self.t_s.max(other.t_s);
     }
 
-    /// The `q`-quantile over this frame's bucket deltas (upper bucket
-    /// bound, clamped to `max`); 0 when empty. Mirrors
-    /// [`LatencyHisto::quantile`].
+    /// The `q`-quantile over this frame's bucket deltas, by the same rule
+    /// as [`LatencyHisto::quantile`] ([`bucket_quantile`]).
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            cum += u64::from(c);
-            if cum >= rank {
-                return mnc_obs::metrics::bucket_upper_bound(k).min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// Fixed-capacity overwrite ring; `push` returns the evicted frame.
-struct Ring<T> {
-    buf: Box<[T]>,
-    head: usize,
-    len: usize,
-}
-
-impl<T: Copy + Default> Ring<T> {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            buf: vec![T::default(); capacity.max(1)].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, v: T) -> Option<T> {
-        let cap = self.buf.len();
-        if self.len < cap {
-            self.buf[(self.head + self.len) % cap] = v;
-            self.len += 1;
-            None
-        } else {
-            let evicted = self.buf[self.head];
-            self.buf[self.head] = v;
-            self.head = (self.head + 1) % cap;
-            Some(evicted)
-        }
-    }
-
-    /// Frames oldest-first.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        let cap = self.buf.len();
-        (0..self.len).map(move |k| &self.buf[(self.head + k) % cap])
+        let buckets = self.buckets.iter().map(|&c| u64::from(c));
+        bucket_quantile(buckets, self.count, self.max, q)
     }
 }
 
@@ -552,8 +505,8 @@ impl Timeline {
             Ok(inner) => {
                 let mut frames = [0usize; 3];
                 for (r, slot) in frames.iter_mut().enumerate() {
-                    let s = inner.scalars.iter().map(|s| s.rings[r].len).max();
-                    let h = inner.histos.iter().map(|s| s.rings[r].len).max();
+                    let s = inner.scalars.iter().map(|s| s.rings[r].len()).max();
+                    let h = inner.histos.iter().map(|s| s.rings[r].len()).max();
                     *slot = s.unwrap_or(0).max(h.unwrap_or(0));
                 }
                 frames

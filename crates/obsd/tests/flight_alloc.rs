@@ -21,10 +21,10 @@ fn span_recording_at_ring_capacity_allocates_nothing() {
         flight_capacity: CAPACITY,
         ..ObsdConfig::default()
     });
-    // A bounded recorder: its own span storage is a ring too, so the whole
-    // hot path — guard open, sink tap, flight push, recorder push — is
-    // allocation-free at capacity.
-    let rec = Recorder::enabled_with_capacity(CAPACITY);
+    // A forwarding recorder: it stores nothing itself, so the whole hot
+    // path — guard open, sink tap, flight push — is allocation-free at
+    // capacity.
+    let rec = Recorder::forwarding();
     assert!(daemon.install(&rec));
 
     // Warm-up: fill both rings past capacity and touch every thread-local

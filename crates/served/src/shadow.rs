@@ -39,9 +39,9 @@
 //! [`--retain-csr`]: crate::service::ServedConfig::retain_csr
 //! [`DriftMonitor`]: mnc_obsd::DriftMonitor
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -132,6 +132,57 @@ struct ShadowJob {
     /// Per-node shadow sidecars for leaf nodes (DMap/Bitset synopses,
     /// optionally retained CSR). Absent for octet-stream ingests.
     sidecars: Vec<Option<Arc<ShadowSidecar>>>,
+}
+
+/// The bounded drop-on-full job queue between the request path and the
+/// workers.
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<QueueState>,
+    /// Workers wait here for a job or for close.
+    work: Condvar,
+    /// [`ShadowPlane::new`] waits here until every worker is parked.
+    parked: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<ShadowJob>,
+    /// Workers currently waiting on `work`.
+    idle: usize,
+    /// Set on drop: workers exit once the queue is empty.
+    closed: bool,
+}
+
+impl JobQueue {
+    /// Enqueues `job` unless the queue is full (the job is then dropped).
+    fn push(&self, job: ShadowJob) -> bool {
+        let mut st = self.state.lock().expect("shadow queue poisoned");
+        if st.jobs.len() >= QUEUE_CAP {
+            return false;
+        }
+        st.jobs.push_back(job);
+        drop(st);
+        self.work.notify_one();
+        true
+    }
+
+    /// Blocks for the next job; `None` once the queue is closed and empty.
+    fn pop(&self) -> Option<ShadowJob> {
+        let mut st = self.state.lock().ok()?;
+        loop {
+            if let Some(job) = st.jobs.pop_front() {
+                return Some(job);
+            }
+            if st.closed {
+                return None;
+            }
+            st.idle += 1;
+            self.parked.notify_all();
+            st = self.work.wait(st).ok()?;
+            st.idle -= 1;
+        }
+    }
 }
 
 /// One worst-divergence exemplar served by `GET /v1/debug/shadow`.
@@ -281,7 +332,7 @@ pub struct ShadowPlane {
     threshold: u64,
     sample_clock: AtomicU64,
     shared: Arc<ShadowShared>,
-    tx: Option<SyncSender<ShadowJob>>,
+    queue: Option<Arc<JobQueue>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -292,7 +343,7 @@ impl ShadowPlane {
         let rate = cfg.shadow_rate.clamp(0.0, 1.0);
         let enabled = rate > 0.0;
         let recorder = if enabled {
-            let rec = Recorder::enabled_with_capacity(cfg.flight_capacity.max(1));
+            let rec = Recorder::forwarding();
             daemon.install(&rec);
             rec
         } else {
@@ -319,20 +370,25 @@ impl ShadowPlane {
             exemplars: Mutex::new(Vec::new()),
             threads: cfg.threads,
         });
-        let (tx, workers) = if enabled {
-            let (tx, rx) = sync_channel::<ShadowJob>(QUEUE_CAP);
-            let rx = Arc::new(Mutex::new(rx));
+        let (queue, workers) = if enabled {
+            let queue = Arc::new(JobQueue::default());
             let workers: Vec<JoinHandle<()>> = (0..WORKERS)
                 .map(|i| {
-                    let rx = Arc::clone(&rx);
+                    let queue = Arc::clone(&queue);
                     let shared = Arc::clone(&shared);
                     std::thread::Builder::new()
                         .name(format!("mnc-shadow-{i}"))
-                        .spawn(move || worker_loop(&rx, &shared))
+                        .spawn(move || worker_loop(&queue, &shared))
                         .expect("spawn shadow worker")
                 })
                 .collect();
-            (Some(tx), workers)
+            // Return only once every worker is parked on the queue: thread
+            // start-up allocates, and must not overlap the requests served
+            // after construction.
+            let st = queue.state.lock().expect("shadow queue poisoned");
+            let parked = queue.parked.wait_while(st, |st| st.idle < WORKERS);
+            drop(parked.expect("shadow queue poisoned"));
+            (Some(queue), workers)
         } else {
             (None, Vec::new())
         };
@@ -341,7 +397,7 @@ impl ShadowPlane {
             threshold,
             sample_clock: AtomicU64::new(0),
             shared,
-            tx,
+            queue,
             workers,
         }
     }
@@ -374,7 +430,7 @@ impl ShadowPlane {
         sketches: &[Option<Arc<MncSketch>>],
         sidecars: impl FnOnce() -> Vec<Option<Arc<ShadowSidecar>>>,
     ) {
-        let Some(tx) = &self.tx else { return };
+        let Some(queue) = &self.queue else { return };
         self.shared.sampled.incr();
         self.shared.sampled_n.fetch_add(1, Ordering::Relaxed);
         let job = ShadowJob {
@@ -384,21 +440,18 @@ impl ShadowPlane {
             sketches: sketches.to_vec(),
             sidecars: sidecars(),
         };
-        // Depth goes up before the send: a worker may dequeue (and
-        // decrement) the instant `try_send` returns, so incrementing after
+        // Depth goes up before the push: a worker may dequeue (and
+        // decrement) the instant `push` returns, so incrementing after
         // would race the counter below zero.
         let d = self.shared.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.shared
-                    .queue_gauge
-                    .set(i64::try_from(d).unwrap_or(i64::MAX));
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.shared.depth.fetch_sub(1, Ordering::Relaxed);
-                self.shared.dropped.incr();
-                self.shared.dropped_n.fetch_add(1, Ordering::Relaxed);
-            }
+        if queue.push(job) {
+            self.shared
+                .queue_gauge
+                .set(i64::try_from(d).unwrap_or(i64::MAX));
+        } else {
+            self.shared.depth.fetch_sub(1, Ordering::Relaxed);
+            self.shared.dropped.incr();
+            self.shared.dropped_n.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -464,24 +517,22 @@ impl ShadowPlane {
 
 impl Drop for ShadowPlane {
     fn drop(&mut self) {
-        // Closing the channel ends the worker loops; join for a clean exit.
-        self.tx = None;
+        // Closing the queue ends the worker loops once it is drained; join
+        // for a clean exit.
+        if let Some(queue) = &self.queue {
+            if let Ok(mut st) = queue.state.lock() {
+                st.closed = true;
+            }
+            queue.work.notify_all();
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<ShadowJob>>, shared: &ShadowShared) {
-    loop {
-        // Holding the lock across the blocking recv is deliberate: the
-        // other worker waits on the mutex instead of the channel, and takes
-        // over the moment this one leaves to process a job.
-        let job = match rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
+fn worker_loop(queue: &JobQueue, shared: &ShadowShared) {
+    while let Some(job) = queue.pop() {
         let d = shared
             .depth
             .fetch_sub(1, Ordering::Relaxed)

@@ -28,14 +28,15 @@
 //! Bit-invariance: nothing here touches estimator state — the plane wraps
 //! the request flow, so answers with tracing on equal answers with it off.
 
-use std::collections::VecDeque;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use mnc_obs::export::{json_escape, span_json};
-use mnc_obs::{Counter, Histogram, MetricSnapshot, Recorder, RequestContext, SpanRecord};
+use mnc_obs::{
+    Counter, Histogram, MetricSnapshot, RecordRing, Recorder, RequestContext, SpanRecord,
+};
 use mnc_obsd::{ObsDaemon, Response};
 
 use crate::error::ServiceError;
@@ -334,16 +335,14 @@ pub struct TracePlane {
     daemon: ObsDaemon,
     metrics: RedMetrics,
     pool: Mutex<Vec<RequestContext>>,
-    captured: Mutex<VecDeque<CapturedRequest>>,
-    capture_capacity: usize,
+    /// The newest tail-sampled requests; `pushed()` counts every capture.
+    captured: RecordRing<CapturedRequest>,
     access_log: Option<RotatingLog>,
     /// Span-ID allocator for captured trees (plane-level, distinct from any
     /// recorder's own IDs).
     span_ids: AtomicU64,
     /// Current `Retry-After` hint in seconds, refreshed on tick.
     retry_after: AtomicU64,
-    /// Requests captured (tail-sampled) since start.
-    captured_total: AtomicU64,
 }
 
 impl TracePlane {
@@ -352,9 +351,9 @@ impl TracePlane {
     pub fn new(cfg: &ServedConfig, daemon: &ObsDaemon) -> Result<TracePlane, ServiceError> {
         let enabled = cfg.tracing;
         let recorder = if enabled {
-            // Bounded storage: the plane only uses the registry, but a
-            // bounded ring keeps any stray span usage O(1) forever.
-            let rec = Recorder::enabled_with_capacity(cfg.flight_capacity.max(1));
+            // The plane only uses the registry; any span it emits is kept
+            // by the daemon's flight ring alone.
+            let rec = Recorder::forwarding();
             daemon.install(&rec);
             rec
         } else {
@@ -380,12 +379,10 @@ impl TracePlane {
             daemon: daemon.clone(),
             metrics: RedMetrics::new(),
             pool: Mutex::new(Vec::with_capacity(POOL_CAP)),
-            captured: Mutex::new(VecDeque::with_capacity(cfg.capture_capacity)),
-            capture_capacity: cfg.capture_capacity.max(1),
+            captured: RecordRing::new(cfg.capture_capacity),
             access_log,
             span_ids: AtomicU64::new(1),
             retry_after: AtomicU64::new(1),
-            captured_total: AtomicU64::new(0),
         })
     }
 
@@ -495,27 +492,17 @@ impl TracePlane {
         if let Some(log) = &self.access_log {
             let _ = log.write_line(&cap.to_json());
         }
-        let mut ring = self.captured.lock().expect("capture ring poisoned");
-        if ring.len() >= self.capture_capacity {
-            ring.pop_front();
-        }
-        ring.push_back(cap);
-        self.captured_total.fetch_add(1, Ordering::Relaxed);
+        self.captured.push(cap);
     }
 
     /// Requests captured since start.
     pub fn captured_total(&self) -> u64 {
-        self.captured_total.load(Ordering::Relaxed)
+        self.captured.pushed()
     }
 
     /// The retained captured requests, oldest first.
     pub fn captured(&self) -> Vec<CapturedRequest> {
-        self.captured
-            .lock()
-            .expect("capture ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        self.captured.collect()
     }
 
     /// `GET /v1/debug/requests`: the captured ring as JSONL, or as a Chrome
@@ -753,5 +740,43 @@ mod tests {
             spans[0].get("name").and_then(|n| n.as_str()),
             Some("request")
         );
+    }
+
+    #[test]
+    fn tail_capture_retains_the_newest_requests_oldest_first() {
+        let daemon = ObsDaemon::new(mnc_obsd::ObsdConfig::default());
+        let mut cfg = ServedConfig::new(std::env::temp_dir().join("mnc-capture-unused"));
+        cfg.slow_threshold = std::time::Duration::ZERO;
+        cfg.capture_capacity = 8;
+        let plane = TracePlane::new(&cfg, &daemon).unwrap();
+        let trace_of = |i: usize| format!("{:032x}", i + 1);
+        let (cap, extra) = (cfg.capture_capacity, 5);
+        for i in 0..cap + extra {
+            let tp = format!("00-{}-00f067aa0ba902b7-01", trace_of(i));
+            let mut ctx = plane.acquire(Some(&tp));
+            // Every request is slower than the zero threshold.
+            let t0 = std::time::Instant::now();
+            while t0.elapsed().is_zero() {}
+            plane.complete(&mut ctx, "POST", endpoint_of("/v1/estimate"), 200);
+            plane.release(ctx);
+        }
+
+        let want: Vec<String> = (extra..cap + extra).map(trace_of).collect();
+        let captured = plane.captured();
+        let got: Vec<&str> = captured.iter().map(|c| c.trace_hex.as_str()).collect();
+        assert_eq!(got, want, "the newest capacity requests, oldest first");
+        assert!(captured.iter().all(|c| c.reason == "slow"));
+        assert_eq!(plane.captured_total(), (cap + extra) as u64);
+
+        let body = plane.debug_requests(None).body;
+        let listed: Vec<String> = String::from_utf8(body)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                let v = mnc_obs::json::parse(l).expect("valid json");
+                v.get("trace").and_then(|t| t.as_str()).unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(listed, want, "/v1/debug/requests lists the same set");
     }
 }
